@@ -62,7 +62,7 @@ struct Analysis {
 };
 
 /// Deprecated alias: analyzer thresholds now live on qc::ExecutionContext
-/// (which adds thread count, soft deadline, seed, and a stats sink).
+/// (which adds thread count, cancellation budget, seed, and a stats sink).
 using AnalyzerOptions = ExecutionContext;
 
 /// Analyzes a join query's structure (Sections 3-8 applied to one query).

@@ -33,7 +33,7 @@ struct AutoCspResult {
 };
 
 /// Deprecated alias: auto-solver thresholds now live on qc::ExecutionContext
-/// (which adds thread count, soft deadline, seed, and a stats sink).
+/// (which adds thread count, cancellation budget, seed, and a stats sink).
 using AutoSolverOptions = ExecutionContext;
 
 /// Routes a CSP instance to the cheapest applicable engine, in the order the

@@ -1,7 +1,6 @@
 #ifndef QC_CORE_CONTEXT_H_
 #define QC_CORE_CONTEXT_H_
 
-#include <chrono>
 #include <cstdint>
 #include <memory>
 
@@ -36,7 +35,7 @@ enum class HybridMode {
 /// (`AnalyzerOptions`, `AutoSolverOptions`) and its own stats struct, which
 /// left nowhere to hang cross-cutting execution concerns. ExecutionContext
 /// folds them together: analysis/solver thresholds, the parallel runtime's
-/// thread count, a deadline/budget, the RNG seed for randomized engines, and
+/// thread count, a cancellation budget, the RNG seed for randomized engines, and
 /// an optional shared Counters sink every engine reports effort into.
 ///
 /// Header-only and dependency-free below util/, so the db and csp layers can
@@ -56,12 +55,6 @@ struct ExecutionContext {
   /// environment variable (default 1). All kernels produce bit-identical
   /// results at any thread count.
   int threads = 0;
-  /// Deadline in seconds from construction (0 = none). Enforced
-  /// cooperatively: ResolveBudget() arms a util::Budget with it, engines
-  /// poll the budget at safe points, unwind cleanly, and report how they
-  /// ended through a util::RunStatus — they never return a wrong answer,
-  /// only a truncated/degraded one that says so.
-  double soft_deadline_seconds = 0.0;
   /// Seed for randomized engines (color coding, generators).
   std::uint64_t seed = 1;
   /// Optional effort sink; engines Add() their counters when non-null.
@@ -82,14 +75,18 @@ struct ExecutionContext {
 
   // -- cancellation / resource budget --
   /// Output-row budget for row-producing engines (0 = unlimited); folded
-  /// into ResolveBudget() alongside the deadline.
+  /// into ResolveBudget().
   std::uint64_t max_output_rows = 0;
   /// Work-step budget across engine safe points (0 = unlimited).
   std::uint64_t max_work_steps = 0;
   /// Shared budget for this run. When null, entry points resolve one from
   /// the knobs above via ResolveBudget(). Set it explicitly to share one
-  /// budget across several calls or to cancel externally
-  /// (budget->RequestCancel() from any thread).
+  /// budget across several calls, to impose a deadline
+  /// (budget->ArmDeadlineAfter), or to cancel externally
+  /// (budget->RequestCancel() from any thread). Engines poll it at safe
+  /// points, unwind cleanly, and report how they ended through a
+  /// util::RunStatus — never a wrong answer, only a truncated one that
+  /// says so.
   std::shared_ptr<util::Budget> budget;
 
   int ResolvedThreads() const {
@@ -97,41 +94,20 @@ struct ExecutionContext {
   }
 
   /// The budget this run should observe: the explicit `budget` if set, else
-  /// a fresh one armed from soft_deadline_seconds (relative to start_time),
-  /// max_output_rows, and max_work_steps. Entry points resolve once and
-  /// hand the same Budget to every sub-engine and worker thread.
+  /// a fresh one armed from max_output_rows and max_work_steps. Entry
+  /// points resolve once and hand the same Budget to every sub-engine and
+  /// worker thread.
   std::shared_ptr<util::Budget> ResolveBudget() const {
     if (budget != nullptr) return budget;
     auto b = std::make_shared<util::Budget>();
-    if (soft_deadline_seconds > 0.0) {
-      b->ArmDeadlineAt(
-          start_time +
-          std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-              std::chrono::duration<double>(soft_deadline_seconds)));
-    }
     if (max_output_rows > 0) b->ArmRowLimit(max_output_rows);
     if (max_work_steps > 0) b->ArmWorkLimit(max_work_steps);
     return b;
   }
 
-  /// Deprecated probe kept for compatibility: one steady_clock::now() per
-  /// call, no stride caching, no status recording. Engines use
-  /// ResolveBudget() + Budget::Poll() instead.
-  bool DeadlineExpired() const {
-    if (soft_deadline_seconds <= 0.0) return false;
-    std::chrono::duration<double> elapsed =
-        std::chrono::steady_clock::now() - start_time;
-    return elapsed.count() >= soft_deadline_seconds;
-  }
-
   void Count(std::string_view key, std::uint64_t delta) const {
     if (counters != nullptr) counters->Add(key, delta);
   }
-
-  /// When the clock for soft_deadline_seconds started; defaults to context
-  /// construction, re-armable by assigning steady_clock::now().
-  std::chrono::steady_clock::time_point start_time =
-      std::chrono::steady_clock::now();
 
   // -- hybrid MM/WCOJ planner (fields appended so existing designated
   //    initializers keep compiling) --

@@ -262,6 +262,7 @@ void GenericJoin::Search(int depth, std::vector<Span>& spans,
                          const std::function<bool(const Tuple&)>& visitor,
                          bool* stop, GenericJoinStats* stats) const {
   if (depth == static_cast<int>(attribute_order_.size())) {
+    if (leaf_filter_ && !leaf_filter_(binding)) return;
     if (!visitor(binding)) *stop = true;
     return;
   }
@@ -352,8 +353,8 @@ void GenericJoin::Enumerate(const std::function<bool(const Tuple&)>& visitor) {
   GenericJoinStats run;
   if (attribute_order_.empty()) {
     // No attributes to bind: one empty answer unless some atom is empty.
-    if (!HasEmptyAtom()) {
-      Tuple binding;
+    Tuple binding;
+    if (!HasEmptyAtom() && (!leaf_filter_ || leaf_filter_(binding))) {
       visitor(binding);
     }
   } else {

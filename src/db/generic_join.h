@@ -5,6 +5,7 @@
 #include <functional>
 #include <memory>
 #include <optional>
+#include <utility>
 
 #include "core/context.h"
 #include "db/database.h"
@@ -100,6 +101,17 @@ class GenericJoin {
 
   /// Streams each answer tuple; return false from the visitor to stop.
   void Enumerate(const std::function<bool(const Tuple&)>& visitor);
+
+  /// Restricts every entry point to the complete bindings `keep` accepts.
+  /// The predicate runs at the leaf, before the binding reaches the visitor
+  /// or the sink: a rejected binding is neither emitted, counted, nor
+  /// charged against the row budget, so a row limit R still yields R kept
+  /// rows. Must be safe to call concurrently (parallel runs share it).
+  /// Internal to planners built on this engine (db::HybridJoin's light
+  /// pass); not a user-facing option.
+  void SetLeafFilter(std::function<bool(const Tuple&)> keep) {
+    leaf_filter_ = std::move(keep);
+  }
 
   const GenericJoinStats& stats() const { return stats_; }
   /// How the most recent Evaluate/Count/IsEmpty/Enumerate ended.
@@ -228,6 +240,8 @@ class GenericJoin {
   std::uint32_t root_span_ = 0;
   std::vector<std::uint32_t> level_spans_;
   std::uint64_t trie_nodes_ = 0;
+  /// Optional leaf predicate (SetLeafFilter); empty keeps every binding.
+  std::function<bool(const Tuple&)> leaf_filter_;
   GenericJoinStats stats_;
   ExecutionContext ctx_;
   /// Resolved once at construction and shared by every worker; never null.

@@ -184,7 +184,13 @@ void HybridJoin::BuildPartition(const Database& db,
   // evaluate; that only nudges a value across the (free-to-choose) split,
   // never the result. Dense-ranged columns (the common vertex-id case)
   // count through a flat array; anything sparse falls back to hashing.
+  //
+  // A column whose every value is over Δ also proves that its attribute is
+  // heavy in every result tuple (the tuple's value appears in that column).
+  // When that holds for every attribute, no result tuple has a light
+  // attribute and the light pass is skipped outright (`light_empty_`).
   std::vector<std::vector<Value>> heavy_candidates(k);
+  std::vector<bool> all_heavy_column(k, false);
   for (const Atom& atom : query_.atoms) {
     const FlatRelation& rows = db.Flat(atom.relation);
     const std::vector<std::string> a = AtomAttributes(atom);
@@ -192,33 +198,47 @@ void HybridJoin::BuildPartition(const Database& db,
     if (rows.empty()) continue;
     for (int col = 0; col < 2; ++col) {
       std::vector<Value>& out = heavy_candidates[attr_of_col[col]];
+      bool all_heavy = true;
+      auto tally = [&](Value value, std::int64_t c) {
+        if (c > delta) {
+          out.push_back(value);
+        } else if (c > 0) {
+          all_heavy = false;
+        }
+      };
       Value lo = rows.At(0, col), hi = lo;
       for (std::size_t r = 1; r < rows.size(); ++r) {
         const Value x = rows.At(r, col);
         lo = std::min(lo, x);
         hi = std::max(hi, x);
       }
-      const std::uint64_t range =
-          static_cast<std::uint64_t>(hi) - static_cast<std::uint64_t>(lo) + 1;
-      if (range <= 4 * rows.size() + 1024) {
-        std::vector<std::int64_t> cnt(static_cast<std::size_t>(range), 0);
+      // hi - lo in unsigned arithmetic, compared before adding 1: a column
+      // spanning INT64_MIN..INT64_MAX has span 2^64 - 1 and takes the hash
+      // path instead of wrapping to an empty count array.
+      const std::uint64_t span =
+          static_cast<std::uint64_t>(hi) - static_cast<std::uint64_t>(lo);
+      if (span < 4 * rows.size() + 1024) {
+        std::vector<std::int64_t> cnt(static_cast<std::size_t>(span) + 1, 0);
         for (std::size_t r = 0; r < rows.size(); ++r) {
-          ++cnt[static_cast<std::size_t>(rows.At(r, col) - lo)];
+          ++cnt[static_cast<std::size_t>(
+              static_cast<std::uint64_t>(rows.At(r, col)) -
+              static_cast<std::uint64_t>(lo))];
         }
         for (std::size_t i = 0; i < cnt.size(); ++i) {
-          if (cnt[i] > delta) out.push_back(lo + static_cast<Value>(i));
+          tally(lo + static_cast<Value>(i), cnt[i]);
         }
       } else {
         std::unordered_map<Value, std::int64_t> cnt;
         for (std::size_t r = 0; r < rows.size(); ++r) {
           ++cnt[rows.At(r, col)];
         }
-        for (const auto& [value, c] : cnt) {
-          if (c > delta) out.push_back(value);
-        }
+        for (const auto& [value, c] : cnt) tally(value, c);
       }
+      if (all_heavy) all_heavy_column[attr_of_col[col]] = true;
     }
   }
+  light_empty_ = std::all_of(all_heavy_column.begin(), all_heavy_column.end(),
+                             [](bool b) { return b; });
   heavy_.resize(k);
   for (int d = 0; d < k; ++d) {
     std::sort(heavy_candidates[d].begin(), heavy_candidates[d].end());
@@ -232,39 +252,32 @@ void HybridJoin::BuildPartition(const Database& db,
     plan_.heavy_values += heavy_[d].values.size();
   }
   if (plan_.heavy_values == 0) {
-    // All-light fast path: the entire instance IS the light residual, so
-    // the original query runs through one pure GenericJoin (shared cache
-    // allowed — it evaluates the original, unfiltered atoms).
+    // All-light fast path: the entire instance is the light part, so the
+    // light pass runs unfiltered and there is no heavy core.
     plan_.delegated = true;
     return;
   }
 
-  // Canonical projections, built only now that the split is real: each atom
-  // onto its attribute pair, columns in global-index order, sorted and
-  // deduplicated (the same representation the trie engine indexes; the
-  // residual filters and heavy matrices below slice these rows).
-  for (std::size_t a = 0; a < query_.atoms.size(); ++a) {
+  // Heavy core, built only now that the split is real: per atom, the
+  // both-ends-heavy tuples of its sorted deduplicated projection (columns
+  // in global-index order, the representation the trie engine indexes) as
+  // dense pairs, plus the bit-packed bi-adjacency (and its transpose, so
+  // either orientation of a row intersection is a contiguous load).
+  for (std::size_t a = 0; a < atoms_.size(); ++a) {
     PatternAtom& pa = atoms_[a];
-    std::vector<std::string> ordered = {attribute_order_[pa.u],
-                                        attribute_order_[pa.v]};
-    pa.rows =
-        MaterializeSortedProjection(query_.atoms[a], db, ordered, ctx_.arena);
-  }
-
-  // Heavy core: per atom, the both-ends-heavy tuples as dense pairs plus
-  // the bit-packed bi-adjacency (and its transpose, so either orientation
-  // of a row intersection is a contiguous load).
-  for (PatternAtom& pa : atoms_) {
+    const FlatRelation rows = MaterializeSortedProjection(
+        query_.atoms[a], db,
+        {attribute_order_[pa.u], attribute_order_[pa.v]}, ctx_.arena);
     const HeavyDomain& hu = heavy_[pa.u];
     const HeavyDomain& hv = heavy_[pa.v];
     pa.fwd = graph::BoolMatrix(static_cast<int>(hu.values.size()),
                                static_cast<int>(hv.values.size()));
     pa.rev = graph::BoolMatrix(static_cast<int>(hv.values.size()),
                                static_cast<int>(hu.values.size()));
-    for (std::size_t r = 0; r < pa.rows.size(); ++r) {
-      auto iu = hu.index.find(pa.rows.At(r, 0));
+    for (std::size_t r = 0; r < rows.size(); ++r) {
+      auto iu = hu.index.find(rows.At(r, 0));
       if (iu == hu.index.end()) continue;
-      auto iv = hv.index.find(pa.rows.At(r, 1));
+      auto iv = hv.index.find(rows.At(r, 1));
       if (iv == hv.index.end()) continue;
       pa.heavy_pairs.emplace_back(iu->second, iv->second);
       pa.fwd.Set(iu->second, iv->second);
@@ -272,52 +285,6 @@ void HybridJoin::BuildPartition(const Database& db,
     }
     plan_.heavy_tuples += pa.heavy_pairs.size();
   }
-
-}
-
-void HybridJoin::EnsureLightParts() {
-  if (!light_parts_.empty()) return;
-  const int k = static_cast<int>(attribute_order_.size());
-  // Light residuals: partition i keeps tuples whose attribute-i columns are
-  // light, attribute-j columns for j < i are heavy, and later columns are
-  // unrestricted. A result tuple lands in exactly the partition of its
-  // first light attribute, so the parts (and the all-heavy core) are
-  // disjoint. Sub-relations get planner-private names and fresh version
-  // stamps, and the sub-evaluations detach ctx.index_cache — they can never
-  // alias the parent relation's cache entries. Built lazily: an auto-mode
-  // rejection never pays for the filtered copies.
-  light_parts_.resize(k);
-  for (int i = 0; i < k; ++i) {
-    LightPart& part = light_parts_[i];
-    for (std::size_t a = 0; a < atoms_.size(); ++a) {
-      const PatternAtom& pa = atoms_[a];
-      // 0 = unrestricted, 1 = light-only, 2 = heavy-only.
-      auto col_class = [i](int attr) {
-        if (attr == i) return 1;
-        return attr < i ? 2 : 0;
-      };
-      const int cu = col_class(pa.u);
-      const int cv = col_class(pa.v);
-      FlatRelation filtered(2);
-      for (std::size_t r = 0; r < pa.rows.size(); ++r) {
-        const Value x = pa.rows.At(r, 0);
-        const Value y = pa.rows.At(r, 1);
-        const bool xh = heavy_[pa.u].IsHeavy(x);
-        const bool yh = heavy_[pa.v].IsHeavy(y);
-        if (cu == 1 && xh) continue;
-        if (cu == 2 && !xh) continue;
-        if (cv == 1 && yh) continue;
-        if (cv == 2 && !yh) continue;
-        filtered.PushRow(pa.rows.Row(r));
-      }
-      if (filtered.empty()) part.has_empty_atom = true;
-      plan_.light_tuples += filtered.size();
-      const std::string name = "__hyb" + std::to_string(a);
-      part.query.Add(name, {attribute_order_[pa.u], attribute_order_[pa.v]});
-      part.db.SetRelation(name, std::move(filtered));
-    }
-  }
-  ctx_.Count("hybrid.light_tuples", plan_.light_tuples);
 }
 
 const HybridJoin::PatternAtom& HybridJoin::AtomOf(int i, int j) const {
@@ -347,36 +314,37 @@ bool HybridJoin::ProfitableUnderAuto() const {
 
 void HybridJoin::RunLight(Mode mode, std::vector<Tuple>* out,
                           std::uint64_t* count, bool* found) {
+  if (light_empty_) {
+    plan_.light_rows = 0;
+    return;
+  }
   static const std::uint32_t kLightSpan =
       util::Trace::InternName("hybrid.light");
   util::ScopedSpan span(kLightSpan);
-  EnsureLightParts();
-  for (LightPart& part : light_parts_) {
-    if (Stopped()) return;
-    if (mode == Mode::kIsEmpty && *found) return;
-    if (part.has_empty_atom) continue;
-    ExecutionContext sub = ctx_;
-    sub.budget = budget_;
-    sub.index_cache = nullptr;  // never cache single-use partitions
-    GenericJoin gj(part.query, part.db, attribute_order_, sub);
-    switch (mode) {
-      case Mode::kEvaluate: {
-        JoinResult r = gj.Evaluate();
-        plan_.light_rows += r.tuples.size();
-        out->insert(out->end(), std::make_move_iterator(r.tuples.begin()),
-                    std::make_move_iterator(r.tuples.end()));
-        break;
+  // One pass over the original query and database (through ctx.index_cache
+  // when set). Unless delegated, the leaf filter keeps exactly the tuples
+  // with at least one light attribute; the all-heavy rest is RunHeavy's.
+  GenericJoin gj(query_, db_, attribute_order_, ctx_);
+  if (!plan_.delegated) {
+    gj.SetLeafFilter([this](const Tuple& binding) {
+      for (std::size_t d = 0; d < binding.size(); ++d) {
+        if (!heavy_[d].IsHeavy(binding[d])) return true;
       }
-      case Mode::kCount: {
-        const std::uint64_t c = gj.Count();
-        plan_.light_rows += c;
-        *count += c;
-        break;
-      }
-      case Mode::kIsEmpty:
-        if (!gj.IsEmpty()) *found = true;
-        break;
-    }
+      return false;
+    });
+  }
+  switch (mode) {
+    case Mode::kEvaluate:
+      *out = gj.Evaluate().tuples;
+      plan_.light_rows = out->size();
+      break;
+    case Mode::kCount:
+      *count = gj.Count();
+      plan_.light_rows = *count;
+      break;
+    case Mode::kIsEmpty:
+      *found = !gj.IsEmpty();
+      break;
   }
 }
 
@@ -637,28 +605,20 @@ JoinResult HybridJoin::Evaluate() {
   result.attributes = attribute_order_;
   if (!applicable()) return result;
   plan_.heavy_rows = 0;
-  plan_.light_rows = 0;
-  if (plan_.delegated) {
-    GenericJoin gj(query_, db_, attribute_order_, ctx_);
-    result = gj.Evaluate();
-    plan_.light_rows = result.tuples.size();
-    run_status_ = gj.status();
-    return result;
-  }
   RunLight(Mode::kEvaluate, &result.tuples, nullptr, nullptr);
-  RunHeavy(Mode::kEvaluate, &result.tuples, nullptr, nullptr);
-  {
-    // The parts are disjoint, so this dedup never drops rows — the sort
-    // alone re-establishes GenericJoin's lexicographic output order.
+  if (!plan_.delegated) {
+    const std::size_t light_rows = result.tuples.size();
+    RunHeavy(Mode::kEvaluate, &result.tuples, nullptr, nullptr);
+    // The light output is already in GenericJoin order and disjoint from
+    // the core, so sorting the core and merging restores that order.
     static const std::uint32_t kMergeSpan =
         util::Trace::InternName("hybrid.merge");
     util::ScopedSpan span(kMergeSpan);
-    std::sort(result.tuples.begin(), result.tuples.end());
-    result.tuples.erase(
-        std::unique(result.tuples.begin(), result.tuples.end()),
-        result.tuples.end());
+    const auto mid = result.tuples.begin() + light_rows;
+    std::sort(mid, result.tuples.end());
+    std::inplace_merge(result.tuples.begin(), mid, result.tuples.end());
   }
-  run_status_ = Stopped() ? budget_->status() : util::RunStatus::kCompleted;
+  run_status_ = budget_->status();
   result.truncated = run_status_ != util::RunStatus::kCompleted;
   ctx_.Count("hybrid.heavy_rows", plan_.heavy_rows);
   ctx_.Count("hybrid.light_rows", plan_.light_rows);
@@ -668,18 +628,10 @@ JoinResult HybridJoin::Evaluate() {
 std::uint64_t HybridJoin::Count() {
   if (!applicable()) return 0;
   plan_.heavy_rows = 0;
-  plan_.light_rows = 0;
-  if (plan_.delegated) {
-    GenericJoin gj(query_, db_, attribute_order_, ctx_);
-    const std::uint64_t c = gj.Count();
-    plan_.light_rows = c;
-    run_status_ = gj.status();
-    return c;
-  }
   std::uint64_t count = 0;
   RunLight(Mode::kCount, nullptr, &count, nullptr);
-  RunHeavy(Mode::kCount, nullptr, &count, nullptr);
-  run_status_ = Stopped() ? budget_->status() : util::RunStatus::kCompleted;
+  if (!plan_.delegated) RunHeavy(Mode::kCount, nullptr, &count, nullptr);
+  run_status_ = budget_->status();
   ctx_.Count("hybrid.heavy_rows", plan_.heavy_rows);
   ctx_.Count("hybrid.light_rows", plan_.light_rows);
   return count;
@@ -687,17 +639,12 @@ std::uint64_t HybridJoin::Count() {
 
 bool HybridJoin::IsEmpty() {
   if (!applicable()) return true;
-  if (plan_.delegated) {
-    GenericJoin gj(query_, db_, attribute_order_, ctx_);
-    const bool empty = gj.IsEmpty();
-    run_status_ = gj.status();
-    return empty;
-  }
   bool found = false;
   RunLight(Mode::kIsEmpty, nullptr, nullptr, &found);
-  if (!found) RunHeavy(Mode::kIsEmpty, nullptr, nullptr, &found);
-  run_status_ = (!found && Stopped()) ? budget_->status()
-                                      : util::RunStatus::kCompleted;
+  if (!found && !plan_.delegated) {
+    RunHeavy(Mode::kIsEmpty, nullptr, nullptr, &found);
+  }
+  run_status_ = found ? util::RunStatus::kCompleted : budget_->status();
   return !found;
 }
 

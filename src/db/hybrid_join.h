@@ -43,7 +43,9 @@ struct HybridPlan {
   bool threshold_overridden = false;  ///< Δ came from the caller, not √N.
   std::uint64_t heavy_values = 0;     ///< Heavy (attribute, value) pairs.
   std::uint64_t heavy_tuples = 0;     ///< Atom tuples with both ends heavy.
-  std::uint64_t light_tuples = 0;     ///< Atom tuples across light residuals.
+  /// Atom tuples copied for the light phase: always 0, since the light
+  /// pass reads the parent relations' (cached) tries directly.
+  std::uint64_t light_tuples = 0;
   std::uint64_t heavy_rows = 0;       ///< Result rows from the heavy phase.
   std::uint64_t light_rows = 0;       ///< Result rows from the light phase.
   /// True when no value was heavy: the whole run was one pure GenericJoin
@@ -57,35 +59,35 @@ struct HybridPlan {
 /// it more than Δ times (Δ defaults to max(1, √N) over the largest atom —
 /// the AGM-style balance point — and the same `deg > Δ` predicate is used
 /// everywhere, so Δ-boundary values are always light, exactly like the AYZ
-/// triangle split in graph/triangles.cc). Result tuples are partitioned by
-/// their first light attribute: residual i (all attributes before i heavy,
-/// attribute i light) is evaluated by the trie/leapfrog GenericJoin over
-/// filtered copies of the atoms, and the all-heavy core is evaluated on
-/// bit-packed BoolMatrix rows — a blocked Boolean product over the kernels'
-/// word-OR path prunes the candidate pairs, then word-AND row intersections
-/// enumerate witnesses. The parts are disjoint by construction, so Count
-/// sums them and Evaluate's final sort+dedup merge reproduces GenericJoin's
-/// output bit-identically at any thread count and any QC_SIMD level.
+/// triangle split in graph/triangles.cc). Result tuples split into two
+/// disjoint parts. The light part — every tuple with at least one light
+/// attribute — is one trie/leapfrog GenericJoin over the original query and
+/// database whose leaf filter drops the complete bindings that are heavy in
+/// every attribute. The all-heavy core is evaluated on bit-packed BoolMatrix
+/// rows — a blocked Boolean product over the kernels' word-OR path prunes
+/// the candidate pairs, then word-AND row intersections enumerate
+/// witnesses. Count sums the parts, and Evaluate merges the sorted light
+/// output with the sorted core, reproducing GenericJoin's output
+/// bit-identically at any thread count and any QC_SIMD level. When no value
+/// is heavy the plan is `delegated`: the same light pass runs unfiltered and
+/// there is no heavy phase.
 ///
-/// Cache seam: the light residuals are materialized into fresh sub-relations
-/// with planner-private names and freshly stamped versions, and their
-/// sub-evaluations run with ctx.index_cache detached — partition tries never
-/// alias the parent relation's version-keyed IndexCache entries (and never
-/// pollute the shared cache with single-use partitions). Only the delegated
-/// all-light fast path, which evaluates the *original* atoms, uses the
-/// shared cache.
+/// Cache seam: the light pass evaluates the parent relations themselves, so
+/// with ctx.index_cache set its tries are the shared, version-keyed entries
+/// any other GenericJoin over those relations uses — there are no
+/// planner-private relations that could alias or pollute them.
 ///
 /// Budget: both phases observe the budget resolved from `ctx` (the light
-/// residuals through GenericJoin's per-node poll, the heavy phase per MM
-/// row, per candidate tuple, and per emitted row). Partial-result semantics
-/// on a trip: Evaluate returns a subset of the answer with
-/// `truncated = true` — unlike pure GenericJoin the subset is NOT a
-/// lexicographic prefix, because phases complete in partition order, not
-/// output order. Count returns a partial undercount; IsEmpty's "empty" is
-/// only trustworthy when status() == kCompleted.
+/// pass through GenericJoin's per-node poll, the heavy phase per MM row,
+/// per candidate tuple, and per emitted row). Partial-result semantics on a
+/// trip: Evaluate returns a subset of the answer with `truncated = true` —
+/// unlike pure GenericJoin the subset is NOT a lexicographic prefix, because
+/// the light pass completes before the heavy core. Count returns a partial
+/// undercount; IsEmpty's "empty" is only trustworthy when
+/// status() == kCompleted.
 ///
-/// `query` and `db` must outlive the planner (the delegated fast path
-/// re-reads them at evaluation time).
+/// `query` and `db` must outlive the planner (the light pass re-reads them
+/// at evaluation time).
 class HybridJoin {
  public:
   HybridJoin(const JoinQuery& query, const Database& db,
@@ -118,9 +120,8 @@ class HybridJoin {
 
   /// One atom projected onto its (sorted-by-global-index) attribute pair.
   struct PatternAtom {
-    int u = 0;           ///< Smaller global attribute index.
-    int v = 0;           ///< Larger global attribute index.
-    FlatRelation rows;   ///< Sorted deduped projection, columns (u, v).
+    int u = 0;  ///< Smaller global attribute index.
+    int v = 0;  ///< Larger global attribute index.
     /// Heavy-restricted tuples as dense (H_u, H_v) index pairs, row order.
     std::vector<std::pair<int, int>> heavy_pairs;
     graph::BoolMatrix fwd;  ///< |H_u| x |H_v| heavy bi-adjacency.
@@ -134,17 +135,7 @@ class HybridJoin {
     bool IsHeavy(Value value) const { return index.count(value) != 0; }
   };
 
-  /// One light residual: a private sub-database (planner-named relations,
-  /// fresh versions) plus the restricted query over it.
-  struct LightPart {
-    Database db;
-    JoinQuery query;
-    bool has_empty_atom = false;  ///< Some restriction emptied an atom.
-  };
-
   void BuildPartition(const Database& db, std::int64_t delta_override);
-  /// Builds the light residual sub-instances on first use (RunLight).
-  void EnsureLightParts();
   /// Oriented heavy matrix for ordered attribute pair (i, j): rows over
   /// H_i, columns over H_j. The pair must be an atom of the pattern.
   const graph::BoolMatrix& Mat(int i, int j) const;
@@ -174,9 +165,11 @@ class HybridJoin {
   util::RunStatus run_status_ = util::RunStatus::kCompleted;
 
   std::vector<PatternAtom> atoms_;
-  std::vector<HeavyDomain> heavy_;       ///< One per global attribute.
-  std::vector<LightPart> light_parts_;   ///< One per global attribute.
-  std::array<int, 4> cycle_{};           ///< 4-cycle attr order (c0..c3).
+  std::vector<HeavyDomain> heavy_;  ///< One per global attribute.
+  /// Every attribute has a column of only over-Δ values, so no result
+  /// tuple has a light attribute: RunLight has nothing to find.
+  bool light_empty_ = false;
+  std::array<int, 4> cycle_{};      ///< 4-cycle attr order (c0..c3).
 };
 
 }  // namespace qc::db

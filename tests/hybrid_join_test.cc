@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -197,6 +198,22 @@ TEST(HybridJoinPlanTest, AllLightInstanceDelegates) {
   EXPECT_EQ(hybrid.Evaluate().tuples, reference.tuples);
 }
 
+TEST(HybridJoinPlanTest, AllHeavyInstanceIsAnsweredByTheCoreAlone) {
+  // K6: every vertex has degree 5 > Δ = 1, so every column is all-heavy and
+  // no result tuple has a light attribute — the heavy core produces every
+  // row and the light pass contributes none.
+  Database db = EdgeDb(graph::Complete(6));
+  JoinQuery q = TriangleQuery();
+  HybridJoin hybrid(q, db, ExecutionContext(), 1);
+  ASSERT_FALSE(hybrid.plan().delegated);
+  const JoinResult reference = GenericReference(q, db);
+  EXPECT_EQ(hybrid.Evaluate().tuples, reference.tuples);
+  EXPECT_EQ(hybrid.plan().light_rows, 0u);
+  EXPECT_EQ(hybrid.plan().heavy_rows, reference.tuples.size());
+  ExpectHybridMatchesGeneric(q, db, 1);
+  ExpectHybridMatchesGeneric(FourCliqueQuery(), db, 1);
+}
+
 TEST(HybridJoinPlanTest, EmptyRelationDelegatesAndMatches) {
   Database db;
   db.SetRelation("E", 2, std::vector<Tuple>{});
@@ -301,6 +318,24 @@ TEST(HybridJoinEquivalenceTest, MultiRelationTriangle) {
   JoinQuery q;
   q.Add("R1", {"a", "b"}).Add("R2", {"a", "c"}).Add("R3", {"b", "c"});
   for (std::int64_t delta : {1, 5, 12, 300}) {
+    ExpectHybridMatchesGeneric(q, db, delta);
+  }
+}
+
+TEST(HybridJoinEquivalenceTest, ExtremeValuesSpanningFullInt64Range) {
+  // A column holding both INT64_MIN and INT64_MAX spans 2^64 - 1 values: the
+  // degree count must take its hash path, not size a dense array from a
+  // wrapped range.
+  const Value lo = std::numeric_limits<Value>::min();
+  const Value hi = std::numeric_limits<Value>::max();
+  Database db;
+  db.SetRelation("E", 2,
+                 {{lo, hi}, {hi, lo}, {lo, 0}, {0, lo}, {hi, 0}, {0, hi}});
+  JoinQuery q = TriangleQuery();
+  ASSERT_EQ(GenericReference(q, db).tuples.size(), 6u);
+  for (std::int64_t delta : {0, 1}) {  // 0 = auto √N.
+    HybridJoin hybrid(q, db, ExecutionContext(), delta);
+    EXPECT_EQ(hybrid.Count(), 6u) << "delta=" << delta;
     ExpectHybridMatchesGeneric(q, db, delta);
   }
 }

@@ -198,17 +198,11 @@ TEST(WarmCacheTest, SelfJoinAtomsShareOneEntry) {
   EXPECT_EQ(warm.tuples, cold.tuples);
 }
 
-TEST(WarmCacheTest, HybridPartitionsDoNotAliasParentCacheEntries) {
-  // Regression for the degree-split planner's cache seam: the light
-  // residuals are FILTERED copies of the parent atoms. If their
-  // sub-evaluations were served by the parent relation's version-keyed
-  // cache entries (the full tries), every partition would see the
-  // unfiltered relation — Count would multiply-count across partitions
-  // (Evaluate's dedup merge would mask it) and partition tries would land
-  // in the cache under the parent's key. The planner gives partitions
-  // planner-private names with freshly stamped versions and detaches
-  // ctx.index_cache in sub-contexts, so a warm shared cache must change
-  // nothing — and a non-delegated hybrid run must not touch it at all.
+TEST(WarmCacheTest, HybridLightPassReusesParentCacheEntries) {
+  // The degree-split planner's cache seam: the light pass is one filtered
+  // GenericJoin over the parent relations themselves, so a warm shared
+  // cache serves its tries — hits go up, nothing new is built or stored.
+  // Count has no dedup, so any multiply-counted light tuple would show.
   JoinQuery q = TriangleQuery();
   Database db = TriangleDb();
   IndexCache cache(8 << 20);
@@ -220,15 +214,16 @@ TEST(WarmCacheTest, HybridPartitionsDoNotAliasParentCacheEntries) {
   ExecutionContext ctx;
   ctx.index_cache = &cache;
   HybridJoin hybrid(q, db, ctx, /*delta=*/1);
-  ASSERT_FALSE(hybrid.plan().delegated);  // Partitions actually exist.
+  ASSERT_FALSE(hybrid.plan().delegated);  // The split is real.
   EXPECT_EQ(hybrid.Evaluate().tuples, reference.tuples);
   HybridJoin counter(q, db, ctx, /*delta=*/1);
   EXPECT_EQ(counter.Count(), reference.tuples.size());
+  EXPECT_EQ(counter.plan().light_tuples, 0u);  // Nothing copied.
 
   const IndexCacheStats after = cache.stats();
   EXPECT_EQ(after.entries, warm.entries);
-  EXPECT_EQ(after.hits, warm.hits);
   EXPECT_EQ(after.misses, warm.misses);
+  EXPECT_GT(after.hits, warm.hits);
 
   // The warm entries still serve the parent query bit-identically.
   JoinResult again = RunGenericJoin(q, db, 1, &cache, &stats);

@@ -4,9 +4,11 @@
 // every parallelized kernel (BoolMatrix::Multiply, GenericJoin,
 // ExactTreewidth, color coding) at 1, 2, and 8 threads.
 
+#include <algorithm>
 #include <atomic>
 #include <numeric>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -18,6 +20,7 @@
 #include "graph/colorcoding.h"
 #include "graph/graph.h"
 #include "graph/treewidth.h"
+#include "kernels/dispatch.h"
 #include "util/counters.h"
 #include "util/rng.h"
 #include "util/threadpool.h"
@@ -126,7 +129,6 @@ TEST(ExecutionContextTest, CountIsNullSafeAndRoutesToSink) {
   EXPECT_GE(ctx.ResolvedThreads(), 1);
   ctx.threads = 5;
   EXPECT_EQ(ctx.ResolvedThreads(), 5);
-  EXPECT_FALSE(ctx.DeadlineExpired());  // No deadline configured.
 }
 
 // ---------------------------------------------------------------------------
@@ -221,6 +223,63 @@ TEST(GenericJoinDeterminismTest, CountersExportedThroughContext) {
   EXPECT_EQ(sink.Get("generic_join.nodes"), gj.stats().nodes);
   EXPECT_EQ(sink.Get("generic_join.probes"), gj.stats().probes);
   EXPECT_GT(gj.stats().nodes, 0u);
+}
+
+TEST(GenericJoinDeterminismTest, LeafFilterKeepsExactlyAcceptedBindings) {
+  // The leaf filter drops complete bindings before they are emitted,
+  // counted, or charged: every entry point must agree with the filtered
+  // reference at any thread count and SIMD level, and a row limit R must
+  // still yield R kept rows.
+  db::JoinQuery q;
+  q.Add("R", {"a", "b"}).Add("S", {"b", "c"}).Add("T", {"a", "c"});
+  util::Rng rng(9500);
+  db::Database d = db::RandomDatabase(q, 60, 8, &rng);
+  auto keep = [](const db::Tuple& t) { return (t[0] + t[2]) % 2 == 0; };
+  std::vector<db::Tuple> reference;
+  for (const db::Tuple& t : MakeJoin(q, d, 1).Evaluate().tuples) {
+    if (keep(t)) reference.push_back(t);
+  }
+  ASSERT_GE(reference.size(), 8u);
+  const std::size_t limit = reference.size() / 2;
+
+  const kernels::SimdLevel native = kernels::ActiveSimdLevel();
+  for (kernels::SimdLevel level :
+       {kernels::BestSupportedSimdLevel(), kernels::SimdLevel::kScalar}) {
+    kernels::ForceSimdLevel(level);
+    for (int threads : {1, 2, 8}) {
+      SCOPED_TRACE(std::string(kernels::SimdLevelName(level)) +
+                   " threads=" + std::to_string(threads));
+      db::GenericJoin gj = MakeJoin(q, d, threads);
+      gj.SetLeafFilter(keep);
+      db::JoinResult out = gj.Evaluate();
+      EXPECT_EQ(out.tuples, reference);
+      EXPECT_FALSE(out.truncated);
+      db::GenericJoin counter = MakeJoin(q, d, threads);
+      counter.SetLeafFilter(keep);
+      EXPECT_EQ(counter.Count(), reference.size());
+      db::GenericJoin decider = MakeJoin(q, d, threads);
+      decider.SetLeafFilter(keep);
+      EXPECT_FALSE(decider.IsEmpty());
+      db::GenericJoin none = MakeJoin(q, d, threads);
+      none.SetLeafFilter([](const db::Tuple&) { return false; });
+      EXPECT_TRUE(none.IsEmpty());
+      EXPECT_EQ(none.status(), util::RunStatus::kCompleted);
+
+      ExecutionContext ctx;
+      ctx.threads = threads;
+      ctx.max_output_rows = limit;
+      db::GenericJoin limited(q, d, ctx);
+      limited.SetLeafFilter(keep);
+      db::JoinResult partial = limited.Evaluate();
+      EXPECT_TRUE(partial.truncated);
+      ASSERT_EQ(partial.tuples.size(), limit);
+      for (const db::Tuple& t : partial.tuples) {
+        EXPECT_TRUE(
+            std::binary_search(reference.begin(), reference.end(), t));
+      }
+    }
+  }
+  kernels::ForceSimdLevel(native);
 }
 
 // ---------------------------------------------------------------------------

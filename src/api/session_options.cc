@@ -114,7 +114,7 @@ const std::vector<SessionOptionSpec>& SessionOptionTable() {
       {"--hybrid", "hybrid", "auto|on|off",
        "degree-split MM/WCOJ hybrid planner routing", SetHybrid},
       {"--hybrid-delta", "hybrid_delta", "N",
-       "hybrid degree threshold override (0 = auto sqrt(N))", SetHybridDelta},
+       "hybrid degree threshold override (0 = auto)", SetHybridDelta},
   };
   return kTable;
 }

@@ -38,7 +38,7 @@ struct SessionOptions {
   /// lets the autosolver pick, kOn forces the hybrid on every recognized
   /// pattern, kOff disables it.
   HybridMode hybrid = HybridMode::kAuto;
-  /// Degree threshold Δ override for the hybrid split (0 = auto √N).
+  /// Degree threshold Δ override for the hybrid split (0 = auto).
   std::int64_t hybrid_delta = 0;
 
   /// Copies the execution knobs onto a context (threads; budget limits are

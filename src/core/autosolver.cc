@@ -129,9 +129,11 @@ AutoQueryResult EvaluateQueryAuto(const db::JoinQuery& query,
   }
   // Cyclic query: the degree-split hybrid planner gets first refusal on
   // the small patterns it recognizes (triangle / 4-cycle / k-clique, k<=5).
-  // kOn takes any recognized pattern; kAuto additionally requires the
-  // partition to look profitable (a dense-enough heavy core). The planner's
-  // decision record is kept either way so reports can show what it saw.
+  // kOn takes any recognized pattern; kAuto additionally requires the heavy
+  // core to answer the whole query at a cost the planner's estimate
+  // favours. A declined query has paid one degree-counting pass. The
+  // planner's decision record is kept either way so reports can show what
+  // it saw.
   if (ctx.hybrid_mode != HybridMode::kOff) {
     db::HybridPattern pattern = db::DetectHybridPattern(query);
     if (pattern != db::HybridPattern::kNone) {

@@ -20,9 +20,9 @@ class Arena;  // forward-declared for the same header-only reason.
 
 /// How the degree-split hybrid MM/WCOJ planner (db::HybridJoin) participates
 /// in query routing. kAuto routes small-pattern queries through the hybrid
-/// only when the degree partition says the heavy core is dense enough to
-/// pay; kOn forces the hybrid whenever the pattern applies; kOff never
-/// routes through it.
+/// only when its heavy core answers the whole query at a cost the planner's
+/// estimate favours; kOn forces the hybrid whenever the pattern applies;
+/// kOff never routes through it.
 enum class HybridMode {
   kAuto = 0,
   kOn,
@@ -113,8 +113,8 @@ struct ExecutionContext {
   //    initializers keep compiling) --
   /// Routing mode of the degree-split hybrid planner; see HybridMode.
   HybridMode hybrid_mode = HybridMode::kAuto;
-  /// Degree threshold Δ override for the hybrid planner (0 = auto-pick
-  /// max(1, √N) from the largest atom).
+  /// Degree threshold Δ override for the hybrid planner (0 = the planner's
+  /// own pick, DESIGN.md §15).
   std::int64_t hybrid_delta = 0;
 };
 

@@ -2,11 +2,13 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
+#include <map>
 #include <set>
+#include <unordered_map>
 #include <utility>
 
 #include "db/generic_join.h"
-#include "db/joins.h"
 #include "kernels/boolmm.h"
 #include "util/trace.h"
 
@@ -46,6 +48,78 @@ std::uint64_t PopcountWords(const std::uint64_t* words, std::size_t n) {
   return total;
 }
 
+/// Occurrence counts of one raw column: a flat array over the column's
+/// value range when that range is compact (the common vertex-id case), a
+/// hash map otherwise. Duplicate base rows count once each.
+class ColumnDegrees {
+ public:
+  ColumnDegrees(const FlatRelation& rows, int col) {
+    if (rows.empty()) return;
+    Value lo = rows.At(0, col), hi = lo;
+    for (std::size_t r = 1; r < rows.size(); ++r) {
+      lo = std::min(lo, rows.At(r, col));
+      hi = std::max(hi, rows.At(r, col));
+    }
+    // hi - lo in unsigned arithmetic, compared before adding 1: a column
+    // spanning INT64_MIN..INT64_MAX has span 2^64 - 1 and takes the hash
+    // path instead of wrapping to an empty count array.
+    const std::uint64_t span =
+        static_cast<std::uint64_t>(hi) - static_cast<std::uint64_t>(lo);
+    if (span < 4 * rows.size() + 1024) {
+      lo_ = lo;
+      dense_.assign(static_cast<std::size_t>(span) + 1, 0);
+      for (std::size_t r = 0; r < rows.size(); ++r) {
+        ++dense_[Offset(rows.At(r, col))];
+      }
+    } else {
+      for (std::size_t r = 0; r < rows.size(); ++r) ++sparse_[rows.At(r, col)];
+    }
+    min_count_ = std::numeric_limits<std::int64_t>::max();
+    ForEach([&](Value, std::int64_t c) {
+      min_count_ = std::min(min_count_, c);
+    });
+  }
+
+  std::int64_t Of(Value value) const {
+    if (!dense_.empty()) {
+      const std::uint64_t off = Offset(value);
+      return off < dense_.size() ? dense_[off] : 0;
+    }
+    auto it = sparse_.find(value);
+    return it == sparse_.end() ? 0 : it->second;
+  }
+
+  /// Smallest count of a value present in the column; 0 when it is empty.
+  std::int64_t min_count() const { return min_count_; }
+
+  /// visit(value, count) for every value present in the column.
+  template <class Visit>
+  void ForEach(Visit&& visit) const {
+    for (std::size_t i = 0; i < dense_.size(); ++i) {
+      if (dense_[i] > 0) visit(lo_ + static_cast<Value>(i), dense_[i]);
+    }
+    for (const auto& [value, c] : sparse_) visit(value, c);
+  }
+
+ private:
+  std::uint64_t Offset(Value value) const {
+    return static_cast<std::uint64_t>(value) - static_cast<std::uint64_t>(lo_);
+  }
+
+  Value lo_ = 0;
+  std::vector<std::int64_t> dense_;
+  std::unordered_map<Value, std::int64_t> sparse_;
+  std::int64_t min_count_ = 0;
+};
+
+/// Auto mode leaves instances with fewer atom rows than this to
+/// GenericJoin: building the core costs more than it can save there.
+constexpr std::size_t kMinCoreRows = 256;
+
+/// Cost of one 64-bit word-AND of the heavy descent, in units of one
+/// GenericJoin leapfrog step; fitted on the E20 triangle rows.
+constexpr double kWordAndCost = 0.2;
+
 }  // namespace
 
 std::string ToString(HybridPattern pattern) {
@@ -71,8 +145,10 @@ HybridPattern DetectHybridPattern(const JoinQuery& query) {
   const std::map<std::string, int> index = query.AttributeIndex();
   std::set<std::pair<int, int>> pairs;
   for (const Atom& atom : query.atoms) {
-    const std::vector<std::string> a = AtomAttributes(atom);
-    if (a.size() != 2) return HybridPattern::kNone;
+    // Arity 2 over two distinct attributes: F(a,a,b) names two attributes
+    // but its columns 0 and 1 are not the pair (a, b).
+    const std::vector<std::string>& a = atom.attributes;
+    if (a.size() != 2 || a[0] == a[1]) return HybridPattern::kNone;
     int u = index.at(a[0]);
     int v = index.at(a[1]);
     if (u > v) std::swap(u, v);
@@ -110,7 +186,7 @@ HybridJoin::HybridJoin(const JoinQuery& query, const Database& db,
   plan_.pattern = DetectHybridPattern(query);
   if (plan_.pattern == HybridPattern::kNone) return;
   for (const Atom& atom : query.atoms) {
-    if (!db.HasRelation(atom.relation)) {
+    if (!db.HasRelation(atom.relation) || db.Flat(atom.relation).arity() != 2) {
       // Leave malformed queries to the default engine's diagnostics.
       plan_.pattern = HybridPattern::kNone;
       return;
@@ -120,196 +196,155 @@ HybridJoin::HybridJoin(const JoinQuery& query, const Database& db,
   static const std::uint32_t kPartitionSpan =
       util::Trace::InternName("hybrid.partition");
   util::ScopedSpan span(kPartitionSpan);
-  BuildPartition(db, delta);
+  DegreePass(delta);
   ctx_.Count("hybrid.heavy_values", plan_.heavy_values);
-  ctx_.Count("hybrid.heavy_tuples", plan_.heavy_tuples);
 }
 
-void HybridJoin::BuildPartition(const Database& db,
-                                std::int64_t delta_override) {
+int HybridJoin::HeavyDomain::IdOf(Value value) const {
+  auto it = std::lower_bound(values.begin(), values.end(), value);
+  return it != values.end() && *it == value
+             ? static_cast<int>(it - values.begin())
+             : -1;
+}
+
+void HybridJoin::DegreePass(std::int64_t delta_override) {
   const std::map<std::string, int> index = query_.AttributeIndex();
   const int k = static_cast<int>(attribute_order_.size());
 
-  // Atom skeleton first: attribute pair and raw size only. The sorted
-  // deduplicated projections are deferred until a heavy value is found, so
-  // the all-light delegation decision costs one counting pass, not a sort.
-  std::size_t max_rows = 0;
+  // Degree of value x for attribute d: its occurrence count in a raw column
+  // holding d, and x is heavy iff SOME such count is over Δ. One histogram
+  // per distinct (relation, column), so a pattern over one edge relation
+  // counts two columns, not two per atom. Duplicate base rows inflate a raw
+  // count relative to the set the phases evaluate; that only nudges a value
+  // across the (free-to-choose) split, never the result.
+  std::map<std::pair<std::string, int>, ColumnDegrees> degrees;
+  auto column = [&](const std::string& relation,
+                    int col) -> const ColumnDegrees* {
+    auto key = std::make_pair(relation, col);
+    auto it = degrees.find(key);
+    if (it == degrees.end()) {
+      it = degrees.emplace(key, ColumnDegrees(db_.Flat(relation), col)).first;
+    }
+    return &it->second;
+  };
+  std::vector<std::vector<const ColumnDegrees*>> columns_of(k);
+  auto hold = [&](int d, const ColumnDegrees* c) {
+    std::vector<const ColumnDegrees*>& cols = columns_of[d];
+    if (std::find(cols.begin(), cols.end(), c) == cols.end()) {
+      cols.push_back(c);
+    }
+  };
+  std::size_t max_rows = 0, total_rows = 0;
   for (const Atom& atom : query_.atoms) {
-    std::vector<std::string> a = AtomAttributes(atom);
-    int u = index.at(a[0]);
-    int v = index.at(a[1]);
+    const int a0 = index.at(atom.attributes[0]);
+    const int a1 = index.at(atom.attributes[1]);
     PatternAtom pa;
-    pa.u = std::min(u, v);
-    pa.v = std::max(u, v);
-    max_rows = std::max(max_rows, db.Flat(atom.relation).size());
+    pa.u = std::min(a0, a1);
+    pa.v = std::max(a0, a1);
+    pa.col_u = a0 < a1 ? 0 : 1;
     atoms_.push_back(std::move(pa));
+    hold(a0, column(atom.relation, 0));
+    hold(a1, column(atom.relation, 1));
+    const std::size_t rows = db_.Flat(atom.relation).size();
+    max_rows = std::max(max_rows, rows);
+    total_rows += rows;
   }
 
-  if (plan_.pattern == HybridPattern::kFourCycle) {
-    // Canonical traversal order: start at attribute 0, take its
-    // smaller-indexed neighbour first — deterministic across runs.
-    std::vector<std::vector<int>> adj(k);
-    for (const PatternAtom& pa : atoms_) {
-      adj[pa.u].push_back(pa.v);
-      adj[pa.v].push_back(pa.u);
+  // Δ*: a column's values all occur more than Δ times iff Δ < its minimum
+  // count, so every attribute has such a column iff Δ ≤ Δ*. Such a column
+  // proves its attribute heavy in every result tuple (the tuple's value
+  // occurs in it), so at Δ ≤ Δ* the light pass is provably empty.
+  std::int64_t delta_star = std::numeric_limits<std::int64_t>::max();
+  for (const auto& cols : columns_of) {
+    std::int64_t best = 0;
+    for (const ColumnDegrees* c : cols) best = std::max(best, c->min_count());
+    delta_star = std::min(delta_star, best - 1);
+  }
+
+  // GenericJoin spends about one leapfrog intersection of min(deg u,
+  // deg v) steps per atom row; the descent about one ⌈H/64⌉-word AND.
+  std::map<std::string, double> intersect_steps;  // per relation
+  auto favours_core = [&] {
+    if (total_rows < kMinCoreRows) return false;
+    std::size_t h = 0;
+    for (const HeavyDomain& d : heavy_) h = std::max(h, d.values.size());
+    double generic_join = 0;
+    for (const Atom& atom : query_.atoms) {
+      auto [it, fresh] = intersect_steps.try_emplace(atom.relation, 0.0);
+      if (fresh) {
+        const FlatRelation& rows = db_.Flat(atom.relation);
+        const ColumnDegrees* c0 = column(atom.relation, 0);
+        const ColumnDegrees* c1 = column(atom.relation, 1);
+        for (std::size_t r = 0; r < rows.size(); ++r) {
+          it->second += static_cast<double>(
+              std::min(c0->Of(rows.At(r, 0)), c1->Of(rows.At(r, 1))));
+        }
+      }
+      generic_join += it->second;
     }
-    for (auto& nbrs : adj) std::sort(nbrs.begin(), nbrs.end());
-    cycle_[0] = 0;
-    cycle_[1] = adj[0][0];
-    cycle_[3] = adj[0][1];
-    cycle_[2] =
-        adj[cycle_[1]][0] == 0 ? adj[cycle_[1]][1] : adj[cycle_[1]][0];
-  }
-
-  // Threshold: Δ = max(1, √N) over the largest atom unless overridden —
-  // the AGM-style balance point where the light residual's O(N·Δ) work and
-  // the heavy core's (N/Δ)-sized dimensions meet, exactly the AYZ pick.
+    const double words = static_cast<double>((h + 63) / 64);
+    return kWordAndCost * words * static_cast<double>(total_rows) <
+           generic_join;
+  };
+  auto resolve = [&](std::int64_t delta) {
+    plan_.threshold = delta;
+    heavy_.assign(k, HeavyDomain());
+    for (int d = 0; d < k; ++d) {
+      std::vector<Value>& values = heavy_[d].values;
+      for (const ColumnDegrees* c : columns_of[d]) {
+        c->ForEach([&](Value x, std::int64_t count) {
+          if (count > delta) values.push_back(x);
+        });
+      }
+      std::sort(values.begin(), values.end());
+      values.erase(std::unique(values.begin(), values.end()), values.end());
+    }
+    light_empty_ = delta <= delta_star;
+    core_favoured_ = light_empty_ && favours_core();
+  };
   if (delta_override > 0) {
-    plan_.threshold = delta_override;
     plan_.threshold_overridden = true;
+    resolve(delta_override);
   } else {
-    plan_.threshold = std::max<std::int64_t>(
-        1, static_cast<std::int64_t>(
-               std::sqrt(static_cast<double>(max_rows))));
-  }
-  const std::int64_t delta = plan_.threshold;
-
-  // Degree of value x for attribute d: the MAX occurrence count over every
-  // (atom, column) pair holding d, counted over the atom's raw rows. Heavy
-  // iff deg > Δ — the single predicate both phases share (Δ-boundary values
-  // are light). The max never needs merging: x is heavy exactly when SOME
-  // column count clears Δ, so each column just contributes its over-Δ
-  // values and the union is deduplicated at the end. Duplicate base rows
-  // inflate a raw count relative to the deduplicated projection the phases
-  // evaluate; that only nudges a value across the (free-to-choose) split,
-  // never the result. Dense-ranged columns (the common vertex-id case)
-  // count through a flat array; anything sparse falls back to hashing.
-  //
-  // A column whose every value is over Δ also proves that its attribute is
-  // heavy in every result tuple (the tuple's value appears in that column).
-  // When that holds for every attribute, no result tuple has a light
-  // attribute and the light pass is skipped outright (`light_empty_`).
-  std::vector<std::vector<Value>> heavy_candidates(k);
-  std::vector<bool> all_heavy_column(k, false);
-  for (const Atom& atom : query_.atoms) {
-    const FlatRelation& rows = db.Flat(atom.relation);
-    const std::vector<std::string> a = AtomAttributes(atom);
-    const int attr_of_col[2] = {index.at(a[0]), index.at(a[1])};
-    if (rows.empty()) continue;
-    for (int col = 0; col < 2; ++col) {
-      std::vector<Value>& out = heavy_candidates[attr_of_col[col]];
-      bool all_heavy = true;
-      auto tally = [&](Value value, std::int64_t c) {
-        if (c > delta) {
-          out.push_back(value);
-        } else if (c > 0) {
-          all_heavy = false;
-        }
-      };
-      Value lo = rows.At(0, col), hi = lo;
-      for (std::size_t r = 1; r < rows.size(); ++r) {
-        const Value x = rows.At(r, col);
-        lo = std::min(lo, x);
-        hi = std::max(hi, x);
-      }
-      // hi - lo in unsigned arithmetic, compared before adding 1: a column
-      // spanning INT64_MIN..INT64_MAX has span 2^64 - 1 and takes the hash
-      // path instead of wrapping to an empty count array.
-      const std::uint64_t span =
-          static_cast<std::uint64_t>(hi) - static_cast<std::uint64_t>(lo);
-      if (span < 4 * rows.size() + 1024) {
-        std::vector<std::int64_t> cnt(static_cast<std::size_t>(span) + 1, 0);
-        for (std::size_t r = 0; r < rows.size(); ++r) {
-          ++cnt[static_cast<std::size_t>(
-              static_cast<std::uint64_t>(rows.At(r, col)) -
-              static_cast<std::uint64_t>(lo))];
-        }
-        for (std::size_t i = 0; i < cnt.size(); ++i) {
-          tally(lo + static_cast<Value>(i), cnt[i]);
-        }
-      } else {
-        std::unordered_map<Value, std::int64_t> cnt;
-        for (std::size_t r = 0; r < rows.size(); ++r) {
-          ++cnt[rows.At(r, col)];
-        }
-        for (const auto& [value, c] : cnt) tally(value, c);
-      }
-      if (all_heavy) all_heavy_column[attr_of_col[col]] = true;
+    // Δ* when the core then pays; otherwise max(1, √N) over the largest
+    // atom, the AGM-style balance point of the AYZ split.
+    if (delta_star >= 1) resolve(delta_star);
+    if (!core_favoured_) {
+      resolve(std::max<std::int64_t>(
+          1, static_cast<std::int64_t>(
+                 std::sqrt(static_cast<double>(max_rows)))));
     }
   }
-  light_empty_ = std::all_of(all_heavy_column.begin(), all_heavy_column.end(),
-                             [](bool b) { return b; });
-  heavy_.resize(k);
-  for (int d = 0; d < k; ++d) {
-    std::sort(heavy_candidates[d].begin(), heavy_candidates[d].end());
-    heavy_candidates[d].erase(
-        std::unique(heavy_candidates[d].begin(), heavy_candidates[d].end()),
-        heavy_candidates[d].end());
-    heavy_[d].values = std::move(heavy_candidates[d]);
-    for (std::size_t i = 0; i < heavy_[d].values.size(); ++i) {
-      heavy_[d].index.emplace(heavy_[d].values[i], static_cast<int>(i));
-    }
-    plan_.heavy_values += heavy_[d].values.size();
-  }
-  if (plan_.heavy_values == 0) {
-    // All-light fast path: the entire instance is the light part, so the
-    // light pass runs unfiltered and there is no heavy core.
-    plan_.delegated = true;
-    return;
-  }
+  for (const HeavyDomain& d : heavy_) plan_.heavy_values += d.values.size();
+  // All-light fast path: the entire instance is the light part, so the
+  // light pass runs unfiltered and there is no heavy core.
+  plan_.delegated = plan_.heavy_values == 0;
+}
 
-  // Heavy core, built only now that the split is real: per atom, the
-  // both-ends-heavy tuples of its sorted deduplicated projection (columns
-  // in global-index order, the representation the trie engine indexes) as
-  // dense pairs, plus the bit-packed bi-adjacency (and its transpose, so
-  // either orientation of a row intersection is a contiguous load).
+void HybridJoin::BuildCore() {
+  if (core_built_) return;
+  core_built_ = true;
+  // Straight from the raw rows: Set is idempotent, so duplicate rows and
+  // row order do not matter and no sorted projection is needed.
   for (std::size_t a = 0; a < atoms_.size(); ++a) {
     PatternAtom& pa = atoms_[a];
-    const FlatRelation rows = MaterializeSortedProjection(
-        query_.atoms[a], db,
-        {attribute_order_[pa.u], attribute_order_[pa.v]}, ctx_.arena);
+    const FlatRelation& rows = db_.Flat(query_.atoms[a].relation);
     const HeavyDomain& hu = heavy_[pa.u];
     const HeavyDomain& hv = heavy_[pa.v];
     pa.fwd = graph::BoolMatrix(static_cast<int>(hu.values.size()),
                                static_cast<int>(hv.values.size()));
-    pa.rev = graph::BoolMatrix(static_cast<int>(hv.values.size()),
-                               static_cast<int>(hu.values.size()));
     for (std::size_t r = 0; r < rows.size(); ++r) {
-      auto iu = hu.index.find(rows.At(r, 0));
-      if (iu == hu.index.end()) continue;
-      auto iv = hv.index.find(rows.At(r, 1));
-      if (iv == hv.index.end()) continue;
-      pa.heavy_pairs.emplace_back(iu->second, iv->second);
-      pa.fwd.Set(iu->second, iv->second);
-      pa.rev.Set(iv->second, iu->second);
+      const int iu = hu.IdOf(rows.At(r, pa.col_u));
+      if (iu < 0) continue;
+      const int iv = hv.IdOf(rows.At(r, 1 - pa.col_u));
+      if (iv >= 0) pa.fwd.Set(iu, iv);
     }
-    plan_.heavy_tuples += pa.heavy_pairs.size();
+    for (int i = 0; i < pa.fwd.rows(); ++i) {
+      plan_.heavy_tuples +=
+          PopcountWords(pa.fwd.RowWords(i), pa.fwd.words_per_row());
+    }
   }
-}
-
-const HybridJoin::PatternAtom& HybridJoin::AtomOf(int i, int j) const {
-  const int u = std::min(i, j);
-  const int v = std::max(i, j);
-  for (const PatternAtom& pa : atoms_) {
-    if (pa.u == u && pa.v == v) return pa;
-  }
-  // Unreachable for detected patterns; keep the compiler honest.
-  return atoms_.front();
-}
-
-const graph::BoolMatrix& HybridJoin::Mat(int i, int j) const {
-  const PatternAtom& pa = AtomOf(i, j);
-  return i < j ? pa.fwd : pa.rev;
-}
-
-bool HybridJoin::ProfitableUnderAuto() const {
-  if (!applicable() || plan_.delegated) return false;
-  // The heavy core pays when its average degree clears the word-parallel
-  // break-even: each bitset row op touches H/64 words, so per-vertex work
-  // amortizes once a heavy value participates in a few dozen heavy tuples.
-  const std::uint64_t avg_heavy_degree =
-      plan_.heavy_tuples / std::max<std::uint64_t>(1, plan_.heavy_values);
-  return plan_.heavy_tuples >= 256 && avg_heavy_degree >= 16;
+  ctx_.Count("hybrid.heavy_tuples", plan_.heavy_tuples);
 }
 
 void HybridJoin::RunLight(Mode mode, std::vector<Tuple>* out,
@@ -355,249 +390,100 @@ void HybridJoin::RunHeavy(Mode mode, std::vector<Tuple>* out,
   util::ScopedSpan span(kHeavySpan);
   if (Stopped()) return;
   if (mode == Mode::kIsEmpty && *found) return;
-  switch (plan_.pattern) {
-    case HybridPattern::kTriangle:
-      HeavyTriangle(mode, out, count, found);
-      break;
-    case HybridPattern::kFourCycle:
-      HeavyFourCycle(mode, out, count, found);
-      break;
-    case HybridPattern::kFourClique:
-    case HybridPattern::kFiveClique:
-      HeavyClique(mode, out, count, found);
-      break;
-    case HybridPattern::kNone:
-      break;
-  }
-}
+  BuildCore();
 
-void HybridJoin::HeavyTriangle(Mode mode, std::vector<Tuple>* out,
-                               std::uint64_t* count, bool* found) {
-  // Attributes 0,1,2. MM prefilter: P = M(1,0)·M(0,2) marks the (b, c)
-  // pairs with at least one heavy-0 witness; the per-pair witness set is
-  // then one word-AND of two rows over the H_0 dimension.
-  const graph::BoolMatrix* p = nullptr;
-  graph::BoolMatrix product;
-  {
-    static const std::uint32_t kMmSpan = util::Trace::InternName("hybrid.mm");
-    util::ScopedSpan mm_span(kMmSpan);
-    product =
-        Mat(1, 0).Multiply(Mat(0, 2), ctx_.ResolvedThreads(), budget_.get());
-    p = &product;
+  // Bitset descent in attribute order over dense heavy ids. Level j's
+  // candidates are the word-AND of row ids[i] of every atom (i, j) with
+  // i < j, or all of H_j when no neighbour of j is bound yet.
+  const int k = static_cast<int>(attribute_order_.size());
+  struct Level {
+    std::vector<std::pair<int, const graph::BoolMatrix*>> parents;
+    std::size_t words = 0;  ///< ⌈H_j / 64⌉; bits past H_j are zero.
+    std::vector<std::uint64_t> scratch;
+  };
+  std::vector<Level> levels(k);
+  for (const PatternAtom& pa : atoms_) {
+    levels[pa.v].parents.emplace_back(pa.u, &pa.fwd);
   }
-  if (Stopped()) return;
-  const graph::BoolMatrix& m10 = Mat(1, 0);
-  const graph::BoolMatrix& m20 = Mat(2, 0);
-  const std::size_t wn = m10.words_per_row();  // H_0 words (== m20's)
-  std::vector<std::uint64_t> witness(wn);
-  Tuple binding(3);
-  for (const auto& [b, c] : AtomOf(1, 2).heavy_pairs) {
-    if (ChargeAndPoll(budget_.get())) return;
-    if (!p->Test(b, c)) continue;
-    switch (mode) {
-      case Mode::kCount: {
-        const std::uint64_t w =
-            kernels::AndPopcount(m10.RowWords(b), m20.RowWords(c), wn);
-        plan_.heavy_rows += w;
-        *count += w;
-        break;
-      }
-      case Mode::kIsEmpty:
-        // The product bit already proves a witness exists.
-        *found = true;
-        return;
-      case Mode::kEvaluate: {
-        kernels::AndWords2(witness.data(), m10.RowWords(b), m20.RowWords(c),
-                           wn);
-        bool stop = false;
-        ForEachBit(witness.data(), wn, [&](int a) {
-          if (stop) return;
-          binding[0] = heavy_[0].values[a];
-          binding[1] = heavy_[1].values[b];
-          binding[2] = heavy_[2].values[c];
-          out->push_back(binding);
-          ++plan_.heavy_rows;
-          // Charge after materializing, like GenericJoin: exactly
-          // row_limit rows land at the limit.
-          if (budget_ != nullptr && budget_->ChargeRows(1)) stop = true;
-        });
-        if (stop) return;
-        break;
+  for (int j = 0; j < k; ++j) {
+    const std::size_t h = heavy_[j].values.size();
+    Level& level = levels[j];
+    level.words = (h + 63) / 64;
+    level.scratch.assign(level.words, 0);
+    if (level.parents.empty()) {
+      for (std::size_t b = 0; b < h; ++b) {
+        level.scratch[b / 64] |= std::uint64_t{1} << (b % 64);
       }
     }
   }
-}
-
-void HybridJoin::HeavyFourCycle(Mode mode, std::vector<Tuple>* out,
-                                std::uint64_t* count, bool* found) {
-  const int c0 = cycle_[0], c1 = cycle_[1], c2 = cycle_[2], c3 = cycle_[3];
-  // Two MM prefilters over the opposite corner pair (c0, c2): P1 routes
-  // through c1, P2 through c3. A bit set in both means at least one full
-  // 4-cycle crosses that corner pair.
-  graph::BoolMatrix p1, p2;
-  {
-    static const std::uint32_t kMmSpan = util::Trace::InternName("hybrid.mm");
-    util::ScopedSpan mm_span(kMmSpan);
-    p1 = Mat(c0, c1).Multiply(Mat(c1, c2), ctx_.ResolvedThreads(),
-                              budget_.get());
-    if (!Stopped()) {
-      p2 = Mat(c0, c3).Multiply(Mat(c3, c2), ctx_.ResolvedThreads(),
-                                budget_.get());
+  std::vector<int> ids(k);
+  // Row of parent p of level j at that parent's bound id.
+  auto row = [&](int j, std::size_t p) {
+    const auto& [parent, matrix] = levels[j].parents[p];
+    return matrix->RowWords(ids[parent]);
+  };
+  // AND of the bound rows of the first `n` parents of level j.
+  auto intersect = [&](int j, std::size_t n) -> const std::uint64_t* {
+    Level& level = levels[j];
+    if (n == 0) return level.scratch.data();
+    if (n == 1) return row(j, 0);
+    kernels::AndWords2(level.scratch.data(), row(j, 0), row(j, 1),
+                       level.words);
+    for (std::size_t p = 2; p < n; ++p) {
+      kernels::AndWords2(level.scratch.data(), level.scratch.data(),
+                         row(j, p), level.words);
     }
-  }
-  if (Stopped()) return;
-  const graph::BoolMatrix& m01 = Mat(c0, c1);
-  const graph::BoolMatrix& m21 = Mat(c2, c1);
-  const graph::BoolMatrix& m03 = Mat(c0, c3);
-  const graph::BoolMatrix& m23 = Mat(c2, c3);
-  const std::size_t corner_words = p1.words_per_row();  // H_c2 words
-  const std::size_t b_words = m01.words_per_row();      // H_c1 words
-  const std::size_t d_words = m03.words_per_row();      // H_c3 words
-  std::vector<std::uint64_t> corners(corner_words);
-  std::vector<std::uint64_t> side_b(b_words);
-  std::vector<std::uint64_t> side_d(d_words);
-  Tuple binding(4);
-  const int rows = p1.rows();
-  for (int x = 0; x < rows; ++x) {
-    if (ChargeAndPoll(budget_.get())) return;
-    kernels::AndWords2(corners.data(), p1.RowWords(x), p2.RowWords(x),
-                       corner_words);
-    bool stop = false;
-    ForEachBit(corners.data(), corner_words, [&](int z) {
-      if (stop) return;
+    return level.scratch.data();
+  };
+
+  Tuple binding(k);
+  bool stop = false;
+  auto descend = [&](auto& self, int j) -> void {
+    const Level& level = levels[j];
+    const std::size_t n = level.parents.size();
+    if (j == k - 1) {
       switch (mode) {
         case Mode::kCount: {
-          // |witnesses through c1| x |witnesses through c3|, no
-          // enumeration: both popcounts are nonzero by the prefilter.
-          const std::uint64_t nb =
-              kernels::AndPopcount(m01.RowWords(x), m21.RowWords(z), b_words);
-          const std::uint64_t nd =
-              kernels::AndPopcount(m03.RowWords(x), m23.RowWords(z), d_words);
-          plan_.heavy_rows += nb * nd;
-          *count += nb * nd;
-          break;
+          // The last AND fuses with its popcount.
+          const std::uint64_t c =
+              n >= 2 ? kernels::AndPopcount(intersect(j, n - 1),
+                                            row(j, n - 1), level.words)
+                     : PopcountWords(intersect(j, n), level.words);
+          plan_.heavy_rows += c;
+          *count += c;
+          return;
         }
         case Mode::kIsEmpty:
-          *found = true;
-          stop = true;
-          break;
-        case Mode::kEvaluate: {
-          kernels::AndWords2(side_b.data(), m01.RowWords(x), m21.RowWords(z),
-                             b_words);
-          kernels::AndWords2(side_d.data(), m03.RowWords(x), m23.RowWords(z),
-                             d_words);
-          binding[c0] = heavy_[c0].values[x];
-          binding[c2] = heavy_[c2].values[z];
-          ForEachBit(side_b.data(), b_words, [&](int b) {
-            if (stop) return;
-            binding[c1] = heavy_[c1].values[b];
-            ForEachBit(side_d.data(), d_words, [&](int d) {
-              if (stop) return;
-              binding[c3] = heavy_[c3].values[d];
-              out->push_back(binding);
-              ++plan_.heavy_rows;
-              if (budget_ != nullptr && budget_->ChargeRows(1)) stop = true;
-            });
-          });
-          break;
-        }
-      }
-    });
-    if (stop) return;  // emptiness witnessed, or row budget tripped
-  }
-}
-
-void HybridJoin::HeavyClique(Mode mode, std::vector<Tuple>* out,
-                             std::uint64_t* count, bool* found) {
-  // k-clique (k = 4 or 5) by bitset descent over the heavy tuples of atom
-  // (0,1): candidate sets for each later attribute are word-ANDs of the
-  // rows of every already-bound attribute.
-  const bool five = plan_.pattern == HybridPattern::kFiveClique;
-  const std::size_t w2 = Mat(0, 2).words_per_row();
-  const std::size_t w3 = Mat(0, 3).words_per_row();
-  const std::size_t w4 = five ? Mat(0, 4).words_per_row() : 0;
-  std::vector<std::uint64_t> s2(w2), s3ab(w3), s3(w3), s4ab(w4), s4(w4),
-      s4d(w4);
-  Tuple binding(five ? 5 : 4);
-  for (const auto& [a, b] : AtomOf(0, 1).heavy_pairs) {
-    if (ChargeAndPoll(budget_.get())) return;
-    kernels::AndWords2(s2.data(), Mat(0, 2).RowWords(a), Mat(1, 2).RowWords(b),
-                       w2);
-    if (!AnyBit(s2.data(), w2)) continue;
-    kernels::AndWords2(s3ab.data(), Mat(0, 3).RowWords(a),
-                       Mat(1, 3).RowWords(b), w3);
-    if (five) {
-      kernels::AndWords2(s4ab.data(), Mat(0, 4).RowWords(a),
-                         Mat(1, 4).RowWords(b), w4);
-    }
-    binding[0] = heavy_[0].values[a];
-    binding[1] = heavy_[1].values[b];
-    bool stop = false;
-    ForEachBit(s2.data(), w2, [&](int c) {
-      if (stop) return;
-      kernels::AndWords2(s3.data(), s3ab.data(), Mat(2, 3).RowWords(c), w3);
-      binding[2] = heavy_[2].values[c];
-      if (!five) {
-        switch (mode) {
-          case Mode::kCount: {
-            const std::uint64_t n = PopcountWords(s3.data(), w3);
-            plan_.heavy_rows += n;
-            *count += n;
-            break;
+          if (AnyBit(intersect(j, n), level.words)) {
+            *found = true;
+            stop = true;
           }
-          case Mode::kIsEmpty:
-            if (AnyBit(s3.data(), w3)) {
-              *found = true;
-              stop = true;
-            }
-            break;
-          case Mode::kEvaluate:
-            ForEachBit(s3.data(), w3, [&](int d) {
-              if (stop) return;
-              binding[3] = heavy_[3].values[d];
-              out->push_back(binding);
-              ++plan_.heavy_rows;
-              if (budget_ != nullptr && budget_->ChargeRows(1)) stop = true;
-            });
-            break;
-        }
+          return;
+        case Mode::kEvaluate:
+          ForEachBit(intersect(j, n), level.words, [&](int id) {
+            if (stop) return;
+            binding[j] = heavy_[j].values[id];
+            out->push_back(binding);
+            ++plan_.heavy_rows;
+            // Charge after materializing, like GenericJoin: exactly
+            // row_limit rows land at the limit.
+            if (budget_ != nullptr && budget_->ChargeRows(1)) stop = true;
+          });
+          return;
+      }
+    }
+    ForEachBit(intersect(j, n), level.words, [&](int id) {
+      if (stop) return;
+      if (ChargeAndPoll(budget_.get())) {
+        stop = true;
         return;
       }
-      kernels::AndWords2(s4.data(), s4ab.data(), Mat(2, 4).RowWords(c), w4);
-      ForEachBit(s3.data(), w3, [&](int d) {
-        if (stop) return;
-        binding[3] = heavy_[3].values[d];
-        switch (mode) {
-          case Mode::kCount: {
-            const std::uint64_t n =
-                kernels::AndPopcount(s4.data(), Mat(3, 4).RowWords(d), w4);
-            plan_.heavy_rows += n;
-            *count += n;
-            break;
-          }
-          case Mode::kIsEmpty:
-            if (kernels::AndPopcount(s4.data(), Mat(3, 4).RowWords(d), w4) >
-                0) {
-              *found = true;
-              stop = true;
-            }
-            break;
-          case Mode::kEvaluate:
-            kernels::AndWords2(s4d.data(), s4.data(), Mat(3, 4).RowWords(d),
-                               w4);
-            ForEachBit(s4d.data(), w4, [&](int e) {
-              if (stop) return;
-              binding[4] = heavy_[4].values[e];
-              out->push_back(binding);
-              ++plan_.heavy_rows;
-              if (budget_ != nullptr && budget_->ChargeRows(1)) stop = true;
-            });
-            break;
-        }
-      });
+      ids[j] = id;
+      binding[j] = heavy_[j].values[id];
+      self(self, j + 1);
     });
-    if (stop) return;  // emptiness witnessed, or row budget tripped
-  }
+  };
+  descend(descend, 0);
 }
 
 JoinResult HybridJoin::Evaluate() {
@@ -609,14 +495,16 @@ JoinResult HybridJoin::Evaluate() {
   if (!plan_.delegated) {
     const std::size_t light_rows = result.tuples.size();
     RunHeavy(Mode::kEvaluate, &result.tuples, nullptr, nullptr);
-    // The light output is already in GenericJoin order and disjoint from
-    // the core, so sorting the core and merging restores that order.
-    static const std::uint32_t kMergeSpan =
-        util::Trace::InternName("hybrid.merge");
-    util::ScopedSpan span(kMergeSpan);
-    const auto mid = result.tuples.begin() + light_rows;
-    std::sort(mid, result.tuples.end());
-    std::inplace_merge(result.tuples.begin(), mid, result.tuples.end());
+    if (light_rows > 0) {
+      // Both parts are in GenericJoin order and disjoint, so one merge
+      // restores that order.
+      static const std::uint32_t kMergeSpan =
+          util::Trace::InternName("hybrid.merge");
+      util::ScopedSpan span(kMergeSpan);
+      std::inplace_merge(result.tuples.begin(),
+                         result.tuples.begin() + light_rows,
+                         result.tuples.end());
+    }
   }
   run_status_ = budget_->status();
   result.truncated = run_status_ != util::RunStatus::kCompleted;

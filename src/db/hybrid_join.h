@@ -1,11 +1,9 @@
 #ifndef QC_DB_HYBRID_JOIN_H_
 #define QC_DB_HYBRID_JOIN_H_
 
-#include <array>
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "core/context.h"
@@ -16,9 +14,9 @@
 namespace qc::db {
 
 /// Small join patterns the degree-split hybrid planner recognizes: every
-/// atom must be binary over two distinct attributes, no attribute pair may
-/// repeat, and the pair graph must be one of the shapes below (the cyclic
-/// core of Fan–Koutris's fine-grained taxonomy, where the MM route of
+/// atom must have exactly two attributes, which must differ, no attribute
+/// pair may repeat, and the pair graph must be one of the shapes below (the
+/// cyclic core of Fan–Koutris's fine-grained taxonomy, where the MM route of
 /// Abo Khamis–Hu–Suciu beats the submodular-width bound on skewed inputs).
 /// Everything else is kNone and stays with the caller's usual engine.
 enum class HybridPattern {
@@ -40,9 +38,11 @@ HybridPattern DetectHybridPattern(const JoinQuery& query);
 struct HybridPlan {
   HybridPattern pattern = HybridPattern::kNone;
   std::int64_t threshold = 0;         ///< Resolved degree threshold Δ.
-  bool threshold_overridden = false;  ///< Δ came from the caller, not √N.
+  bool threshold_overridden = false;  ///< Δ came from the caller.
   std::uint64_t heavy_values = 0;     ///< Heavy (attribute, value) pairs.
-  std::uint64_t heavy_tuples = 0;     ///< Atom tuples with both ends heavy.
+  /// Distinct atom tuples with both ends heavy; counted when the heavy core
+  /// is first built, so 0 until a run needs it.
+  std::uint64_t heavy_tuples = 0;
   /// Atom tuples copied for the light phase: always 0, since the light
   /// pass reads the parent relations' (cached) tries directly.
   std::uint64_t light_tuples = 0;
@@ -56,21 +56,33 @@ struct HybridPlan {
 /// Degree-splitting hybrid MM/WCOJ join (DESIGN.md §15).
 ///
 /// A value is HEAVY for attribute X iff some atom column holding X contains
-/// it more than Δ times (Δ defaults to max(1, √N) over the largest atom —
-/// the AGM-style balance point — and the same `deg > Δ` predicate is used
-/// everywhere, so Δ-boundary values are always light, exactly like the AYZ
-/// triangle split in graph/triangles.cc). Result tuples split into two
-/// disjoint parts. The light part — every tuple with at least one light
-/// attribute — is one trie/leapfrog GenericJoin over the original query and
-/// database whose leaf filter drops the complete bindings that are heavy in
-/// every attribute. The all-heavy core is evaluated on bit-packed BoolMatrix
-/// rows — a blocked Boolean product over the kernels' word-OR path prunes
-/// the candidate pairs, then word-AND row intersections enumerate
-/// witnesses. Count sums the parts, and Evaluate merges the sorted light
-/// output with the sorted core, reproducing GenericJoin's output
-/// bit-identically at any thread count and any QC_SIMD level. When no value
-/// is heavy the plan is `delegated`: the same light pass runs unfiltered and
-/// there is no heavy phase.
+/// it more than Δ times, counted over the atom's raw rows; the same
+/// `deg > Δ` predicate is used everywhere, so Δ-boundary values are light,
+/// exactly like the AYZ triangle split in graph/triangles.cc. Result tuples
+/// split into two disjoint parts. The light part — every tuple with at
+/// least one light attribute — is one trie/leapfrog GenericJoin over the
+/// original query and database whose leaf filter drops the complete
+/// bindings that are heavy in every attribute. The all-heavy core is one
+/// bitset descent over bit-packed heavy bi-adjacencies: attributes bind in
+/// attribute_order() over dense heavy ids, each candidate set is the
+/// word-AND of the rows of the already-bound neighbours, and the last level
+/// is emitted, popcounted, or tested for emptiness. Heavy ids increase with
+/// value, so the core comes out in GenericJoin's order; Count sums the
+/// parts and Evaluate merges them only when the light pass found rows,
+/// reproducing GenericJoin's output bit-identically at any thread count and
+/// any QC_SIMD level. When no value is heavy the plan is `delegated`: the
+/// light pass runs unfiltered and there is no heavy phase.
+///
+/// Choosing Δ: the constructor makes one counting pass over the atoms' raw
+/// columns and nothing more — the core's matrices are built on the first
+/// run that needs them. From that pass comes Δ* — the largest Δ at which
+/// every attribute has a column whose values all occur more than Δ times.
+/// At any Δ ≤ Δ* no result tuple can have a light attribute, so the light
+/// pass is provably empty and skipped. Without a caller override, Δ is Δ*
+/// when Δ* ≥ 1 and a cost estimate favours the core (word-ANDs of ⌈H/64⌉
+/// words per atom row against a GenericJoin intersection of
+/// min(deg u, deg v) per atom row), and max(1, √N) over the largest atom
+/// otherwise.
 ///
 /// Cache seam: the light pass evaluates the parent relations themselves, so
 /// with ctx.index_cache set its tries are the shared, version-keyed entries
@@ -78,16 +90,16 @@ struct HybridPlan {
 /// planner-private relations that could alias or pollute them.
 ///
 /// Budget: both phases observe the budget resolved from `ctx` (the light
-/// pass through GenericJoin's per-node poll, the heavy phase per MM row,
-/// per candidate tuple, and per emitted row). Partial-result semantics on a
-/// trip: Evaluate returns a subset of the answer with `truncated = true` —
-/// unlike pure GenericJoin the subset is NOT a lexicographic prefix, because
-/// the light pass completes before the heavy core. Count returns a partial
-/// undercount; IsEmpty's "empty" is only trustworthy when
+/// pass through GenericJoin's per-node poll, the heavy descent per bound
+/// inner node and per emitted row). On a trip Evaluate returns a subset of
+/// the answer with `truncated = true`; when the light pass is empty that
+/// subset is a prefix of GenericJoin's output, otherwise the light pass
+/// completes before the core and the subset is not a prefix. Count returns
+/// a partial undercount; IsEmpty's "empty" is only trustworthy when
 /// status() == kCompleted.
 ///
-/// `query` and `db` must outlive the planner (the light pass re-reads them
-/// at evaluation time).
+/// `query` and `db` must outlive the planner (both phases re-read them at
+/// evaluation time).
 class HybridJoin {
  public:
   HybridJoin(const JoinQuery& query, const Database& db,
@@ -99,11 +111,13 @@ class HybridJoin {
   /// check applicable() first (core::EvaluateQueryAuto does).
   bool applicable() const { return plan_.pattern != HybridPattern::kNone; }
 
-  /// Auto-mode profitability: the pattern applies, some values are heavy,
-  /// and the heavy core is dense enough (average heavy degree clears the
-  /// word-parallel break-even) that the MM route should beat running the
-  /// whole instance through the trie engine.
-  bool ProfitableUnderAuto() const;
+  /// Auto-mode profitability: the heavy core answers the whole query (the
+  /// light pass is provably empty at the resolved Δ), the instance clears a
+  /// small-size floor, and the cost estimate favours the core over
+  /// GenericJoin.
+  bool ProfitableUnderAuto() const {
+    return applicable() && !plan_.delegated && light_empty_ && core_favoured_;
+  }
 
   JoinResult Evaluate();
   std::uint64_t Count();
@@ -118,41 +132,33 @@ class HybridJoin {
  private:
   enum class Mode { kEvaluate, kCount, kIsEmpty };
 
-  /// One atom projected onto its (sorted-by-global-index) attribute pair.
+  /// One atom over its attribute pair, oriented by global attribute index.
   struct PatternAtom {
-    int u = 0;  ///< Smaller global attribute index.
-    int v = 0;  ///< Larger global attribute index.
-    /// Heavy-restricted tuples as dense (H_u, H_v) index pairs, row order.
-    std::vector<std::pair<int, int>> heavy_pairs;
-    graph::BoolMatrix fwd;  ///< |H_u| x |H_v| heavy bi-adjacency.
-    graph::BoolMatrix rev;  ///< Transpose of fwd.
+    int u = 0;      ///< Smaller global attribute index.
+    int v = 0;      ///< Larger global attribute index.
+    int col_u = 0;  ///< Raw column of the atom's relation holding u.
+    graph::BoolMatrix fwd;  ///< |H_u| x |H_v| heavy bi-adjacency (lazy).
   };
 
-  /// Heavy value domain of one attribute.
+  /// Heavy value domain of one attribute; the dense id of a value is its
+  /// rank, so ids increase with value.
   struct HeavyDomain {
-    std::vector<Value> values;             ///< Sorted heavy values.
-    std::unordered_map<Value, int> index;  ///< value -> dense id.
-    bool IsHeavy(Value value) const { return index.count(value) != 0; }
+    std::vector<Value> values;  ///< Sorted heavy values.
+    /// Dense id of `value`, or -1 when it is light.
+    int IdOf(Value value) const;
+    bool IsHeavy(Value value) const { return IdOf(value) >= 0; }
   };
 
-  void BuildPartition(const Database& db, std::int64_t delta_override);
-  /// Oriented heavy matrix for ordered attribute pair (i, j): rows over
-  /// H_i, columns over H_j. The pair must be an atom of the pattern.
-  const graph::BoolMatrix& Mat(int i, int j) const;
-  const PatternAtom& AtomOf(int i, int j) const;
+  void DegreePass(std::int64_t delta_override);
+  /// Builds every atom's `fwd` from its raw rows on first use.
+  void BuildCore();
 
-  /// Runs one full evaluation; exactly one of out/count/found is used,
-  /// matching `mode`.
+  /// Runs one phase; exactly one of out/count/found is used, matching
+  /// `mode`.
   void RunLight(Mode mode, std::vector<Tuple>* out, std::uint64_t* count,
                 bool* found);
   void RunHeavy(Mode mode, std::vector<Tuple>* out, std::uint64_t* count,
                 bool* found);
-  void HeavyTriangle(Mode mode, std::vector<Tuple>* out, std::uint64_t* count,
-                     bool* found);
-  void HeavyFourCycle(Mode mode, std::vector<Tuple>* out, std::uint64_t* count,
-                      bool* found);
-  void HeavyClique(Mode mode, std::vector<Tuple>* out, std::uint64_t* count,
-                   bool* found);
 
   bool Stopped() const { return budget_ != nullptr && budget_->Stopped(); }
 
@@ -166,10 +172,12 @@ class HybridJoin {
 
   std::vector<PatternAtom> atoms_;
   std::vector<HeavyDomain> heavy_;  ///< One per global attribute.
-  /// Every attribute has a column of only over-Δ values, so no result
-  /// tuple has a light attribute: RunLight has nothing to find.
+  /// Δ ≤ Δ*: every attribute has a column of only over-Δ values, so no
+  /// result tuple has a light attribute and RunLight has nothing to find.
   bool light_empty_ = false;
-  std::array<int, 4> cycle_{};      ///< 4-cycle attr order (c0..c3).
+  /// The cost estimate (with its size floor) favours the core at Δ.
+  bool core_favoured_ = false;
+  bool core_built_ = false;
 };
 
 }  // namespace qc::db

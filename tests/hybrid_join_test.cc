@@ -20,6 +20,7 @@
 #include "graph/generators.h"
 #include "graph/graph.h"
 #include "gtest/gtest.h"
+#include "kernels/dispatch.h"
 #include "util/budget.h"
 #include "util/rng.h"
 
@@ -104,6 +105,21 @@ void ExpectHybridMatchesGeneric(const JoinQuery& q, const Database& db,
   }
 }
 
+/// Δ* of a symmetric edge relation over `g`: every column holds each
+/// non-isolated vertex deg(v) times, so Δ* = min degree - 1.
+std::int64_t DeltaStar(const graph::Graph& g) {
+  std::vector<std::int64_t> degree(g.num_vertices(), 0);
+  for (const auto& [u, v] : g.Edges()) {
+    ++degree[u];
+    ++degree[v];
+  }
+  std::int64_t min_degree = std::numeric_limits<std::int64_t>::max();
+  for (std::int64_t d : degree) {
+    if (d > 0) min_degree = std::min(min_degree, d);
+  }
+  return min_degree - 1;
+}
+
 // ---------------------------------------------------------------------------
 // Pattern detection
 
@@ -145,6 +161,30 @@ TEST(HybridJoinDetectTest, RejectsNonPatterns) {
   EXPECT_EQ(DetectHybridPattern(selfpair), HybridPattern::kNone);
 }
 
+TEST(HybridJoinDetectTest, RepeatedAttributeInWiderAtomIsRejected) {
+  // F(a,a,b) names two attributes but has arity 3: its columns 0 and 1 are
+  // (a, a), not (a, b). Treating it as the pair (a, b) skipped the light
+  // pass at Δ = 1 and lost a row.
+  Database db;
+  db.SetRelation("F", 3,
+                 {{1, 1, 2}, {1, 1, 3}, {2, 2, 3}, {2, 2, 9}, {3, 3, 7},
+                  {3, 3, 8}, {1, 1, 9}});
+  JoinQuery q;
+  q.Add("F", {"a", "a", "b"}).Add("F", {"b", "b", "c"})
+      .Add("F", {"a", "a", "c"});
+  EXPECT_EQ(DetectHybridPattern(q), HybridPattern::kNone);
+  EXPECT_FALSE(HybridJoin(q, db, ExecutionContext(), 1).applicable());
+
+  const JoinResult reference = GenericReference(q, db);
+  ASSERT_EQ(reference.tuples.size(), 2u);
+  ExecutionContext on;
+  on.hybrid_mode = HybridMode::kOn;
+  on.hybrid_delta = 1;
+  core::AutoQueryResult r = core::EvaluateQueryAuto(q, db, on);
+  EXPECT_EQ(r.method, core::SolveMethod::kGenericJoin);
+  EXPECT_EQ(r.result.tuples, reference.tuples);
+}
+
 TEST(HybridJoinDetectTest, MissingRelationFallsBackToNone) {
   Database db;
   db.SetRelation("E", 2, {{0, 1}});
@@ -183,6 +223,67 @@ TEST(HybridJoinPlanTest, ExplicitDeltaOverrides) {
   HybridJoin from_ctx(q, db, ctx);
   EXPECT_EQ(from_ctx.plan().threshold, 3);
   EXPECT_TRUE(from_ctx.plan().threshold_overridden);
+}
+
+TEST(HybridJoinPlanTest, AutoPicksDeltaStarWhenEveryVertexIsHeavy) {
+  // Every vertex of a 4-hub graph has degree >= 4, so at Δ* = min degree
+  // - 1 every column is all-heavy: the core answers the whole query and
+  // the light pass is skipped.
+  util::Rng rng(41);
+  const graph::Graph g = graph::HubGraph(80, 4, 60, &rng);
+  Database db = EdgeDb(g);
+  const std::int64_t delta_star = DeltaStar(g);
+  ASSERT_GE(delta_star, 1);
+  for (const JoinQuery& q :
+       {TriangleQuery(), FourCycleQuery(), FourCliqueQuery()}) {
+    const JoinResult reference = GenericReference(q, db);
+    for (kernels::SimdLevel level :
+         {kernels::ActiveSimdLevel(), kernels::SimdLevel::kScalar}) {
+      const kernels::SimdLevel previous = kernels::ActiveSimdLevel();
+      kernels::ForceSimdLevel(level);
+      for (int threads : {1, 2, 8}) {
+        ExecutionContext ctx;
+        ctx.threads = threads;
+        HybridJoin hybrid(q, db, ctx);
+        EXPECT_EQ(hybrid.plan().threshold, delta_star);
+        EXPECT_FALSE(hybrid.plan().threshold_overridden);
+        EXPECT_TRUE(hybrid.ProfitableUnderAuto());
+        EXPECT_EQ(hybrid.Evaluate().tuples, reference.tuples)
+            << "threads=" << threads;
+        EXPECT_EQ(hybrid.plan().light_rows, 0u);
+        EXPECT_EQ(hybrid.plan().heavy_rows, reference.tuples.size());
+        EXPECT_EQ(hybrid.Count(), reference.tuples.size());
+
+        core::AutoQueryResult routed = core::EvaluateQueryAuto(q, db, ctx);
+        EXPECT_EQ(routed.method, core::SolveMethod::kHybridJoin);
+        EXPECT_EQ(routed.result.tuples, reference.tuples);
+      }
+      kernels::ForceSimdLevel(previous);
+    }
+  }
+}
+
+TEST(HybridJoinPlanTest, AutoDeclinesWhenSomeVertexHasDegreeOne) {
+  // A degree-1 vertex makes Δ* = 0: no Δ empties the light pass, so auto
+  // keeps √N, declines, and never builds the core.
+  util::Rng rng(43);
+  const graph::Graph g = graph::ZipfGraph(300, 600, 1.5, &rng);
+  ASSERT_EQ(DeltaStar(g), 0);
+  Database db = EdgeDb(g);
+  JoinQuery q = TriangleQuery();
+  HybridJoin hybrid(q, db);
+  EXPECT_EQ(hybrid.plan().threshold,
+            static_cast<std::int64_t>(
+                std::sqrt(static_cast<double>(2 * g.num_edges()))));
+  EXPECT_FALSE(hybrid.ProfitableUnderAuto());
+  EXPECT_EQ(hybrid.plan().heavy_tuples, 0u);
+
+  core::AutoQueryResult routed =
+      core::EvaluateQueryAuto(q, db, ExecutionContext());
+  EXPECT_EQ(routed.method, core::SolveMethod::kGenericJoin);
+  EXPECT_EQ(routed.plan.pattern, HybridPattern::kTriangle);
+  EXPECT_EQ(routed.plan.heavy_tuples, 0u);
+  EXPECT_EQ(routed.result.tuples, GenericReference(q, db).tuples);
 }
 
 TEST(HybridJoinPlanTest, AllLightInstanceDelegates) {
@@ -302,6 +403,26 @@ TEST(HybridJoinEquivalenceTest, CliquesOnSkewedGraphs) {
   }
 }
 
+TEST(HybridJoinEquivalenceTest, FourCycleWithAtomsInNonCanonicalOrder) {
+  // Cycle a-b-d-c-a written so the second atom is disjoint from the first
+  // and two atoms list the larger-indexed attribute first.
+  JoinQuery q;
+  q.Add("E", {"a", "b"}).Add("E", {"c", "d"}).Add("E", {"d", "b"})
+      .Add("E", {"c", "a"});
+  ASSERT_EQ(DetectHybridPattern(q), HybridPattern::kFourCycle);
+  util::Rng rng(47);
+  const graph::Graph hub = graph::HubGraph(50, 3, 60, &rng);
+  Database hub_db = EdgeDb(hub);
+  for (std::int64_t delta : {0, 1, 4, 1000}) {
+    ExpectHybridMatchesGeneric(q, hub_db, delta);
+  }
+  EXPECT_TRUE(HybridJoin(q, hub_db).ProfitableUnderAuto());
+  Database zipf_db = EdgeDb(graph::ZipfGraph(50, 120, 1.5, &rng));
+  for (std::int64_t delta : {0, 1, 4, 1000}) {
+    ExpectHybridMatchesGeneric(q, zipf_db, delta);
+  }
+}
+
 TEST(HybridJoinEquivalenceTest, MultiRelationTriangle) {
   // Distinct relations per atom, different contents: the split must track
   // per-atom columns, not just one edge relation.
@@ -364,6 +485,29 @@ TEST(HybridJoinBudgetTest, RowLimitYieldsExactSubset) {
   // phases complete in partition order).
   for (const Tuple& t : partial.tuples) {
     EXPECT_TRUE(std::binary_search(full.tuples.begin(), full.tuples.end(), t));
+  }
+}
+
+TEST(HybridJoinBudgetTest, RowLimitWithEmptyLightPassIsAPrefix) {
+  // With the light pass empty the core emits in GenericJoin order, so a
+  // row limit R returns exactly GenericJoin's first R rows.
+  util::Rng rng(53);
+  Database db = EdgeDb(graph::HubGraph(60, 4, 40, &rng));
+  for (const JoinQuery& q : {TriangleQuery(), FourCycleQuery()}) {
+    const JoinResult full = GenericReference(q, db);
+    for (std::uint64_t limit : {1u, 10u, 100u}) {
+      ASSERT_GT(full.tuples.size(), limit);
+      ExecutionContext ctx;
+      ctx.budget = std::make_shared<util::Budget>();
+      ctx.budget->ArmRowLimit(limit);
+      HybridJoin hybrid(q, db, ctx);
+      ASSERT_TRUE(hybrid.ProfitableUnderAuto());
+      JoinResult partial = hybrid.Evaluate();
+      EXPECT_TRUE(partial.truncated);
+      const std::vector<Tuple> prefix(full.tuples.begin(),
+                                      full.tuples.begin() + limit);
+      EXPECT_EQ(partial.tuples, prefix) << "limit=" << limit;
+    }
   }
 }
 
